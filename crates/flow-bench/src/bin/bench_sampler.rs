@@ -19,12 +19,19 @@
 //! batch), so the JSON records both semantics-preserved counting and
 //! the real dispatch rate CI ratchets on via `repro perf diff`.
 //!
+//! The `conditioned` section runs one required-flow and one
+//! forbidden-flow chain on a supercritical model and reports how many
+//! condition reachability tests the chains ran per proposal that passed
+//! the MH test (`condition_checks_per_accept`, deterministic: 1.0 for a
+//! check that re-tests every condition, ≈0.5 when only the conditions a
+//! flip can break are re-tested) plus their ns/step.
+//!
 //! Wall-clock timing is the entire point of this binary.
 #![allow(clippy::disallowed_methods)]
 
-use flow_bench::scaling_icm;
+use flow_bench::{scaling_icm, supercritical_icm};
 use flow_graph::NodeId;
-use flow_icm::Icm;
+use flow_icm::{FlowCondition, Icm};
 use flow_mcmc::{
     multi_chain_flow_guarded, McmcConfig, ProposalKind, PseudoStateSampler, RunBudget,
 };
@@ -48,6 +55,10 @@ const PARALLEL_CHAINS: usize = 4;
 const MIN_WINDOW_SECS: f64 = 1.5;
 /// Iterations for the disabled-call micro-benchmark.
 const MICRO_CALLS: u64 = 20_000_000;
+/// Edges in the conditioned-chain model (`n = m/4`, supercritical).
+const CONDITIONED_EDGES: usize = 600;
+/// Steps per conditioned chain.
+const CONDITIONED_STEPS: usize = 1_000_000;
 
 /// Runs sampler steps in batches until the timed window is long enough
 /// to trust, returning (steps/sec, total steps run).
@@ -141,6 +152,63 @@ fn dispatched_calls_per_step(icm: &Icm, seed: u64) -> f64 {
     sink.calls.load(Ordering::Relaxed) as f64 / STEPS as f64
 }
 
+/// The sinks whose flow from `source` is closest to 1/2 and next
+/// closest, from a short unconditioned pilot chain: a required and a
+/// forbidden condition on them both bind often.
+fn balanced_sinks(icm: &Icm, source: NodeId, seed: u64) -> (NodeId, NodeId) {
+    const PILOT_SAMPLES: usize = 400;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut sampler = PseudoStateSampler::new(icm, ProposalKind::ResultingActivity, &mut rng);
+    let mut hits = vec![0usize; icm.node_count()];
+    for _ in 0..PILOT_SAMPLES {
+        sampler.run(icm.edge_count(), &mut rng);
+        for v in sampler.reach_set(&[source]).iter_ones() {
+            hits[v] += 1;
+        }
+    }
+    let mut by_balance: Vec<usize> = (0..icm.node_count())
+        .filter(|&v| v != source.index())
+        .collect();
+    by_balance.sort_by_key(|&v| hits[v].abs_diff(PILOT_SAMPLES / 2));
+    (NodeId(by_balance[0] as u32), NodeId(by_balance[1] as u32))
+}
+
+/// Runs a required-flow and a forbidden-flow chain for
+/// `CONDITIONED_STEPS` each under a memory sink, returning (condition
+/// tests per proposal that passed the MH test, ns/step).
+fn conditioned_chains(icm: &Icm, seed: u64) -> (f64, f64) {
+    let source = NodeId(0);
+    let (a, b) = balanced_sinks(icm, source, seed);
+    let sink = Arc::new(MemorySink::new());
+    let _r = ScopedRecorder::install(sink.clone());
+    let mut nanos = 0.0;
+    for (k, condition) in [
+        FlowCondition::requires(source, a),
+        FlowCondition::forbids(source, b),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let mut rng = StdRng::seed_from_u64(seed + 1 + k as u64);
+        let mut sampler = PseudoStateSampler::with_conditions(
+            icm,
+            ProposalKind::ResultingActivity,
+            vec![condition],
+            &mut rng,
+        )
+        .expect("a pilot-balanced condition is feasible");
+        let start = Instant::now();
+        sampler.run(CONDITIONED_STEPS, &mut rng);
+        nanos += start.elapsed().as_secs_f64() * 1e9;
+    }
+    let passed =
+        sink.counter_value("sampler.accepts") + sink.counter_value("sampler.condition_rejects");
+    (
+        sink.counter_value("sampler.condition_checks") as f64 / passed.max(1) as f64,
+        nanos / (2 * CONDITIONED_STEPS) as f64,
+    )
+}
+
 /// Micro-benchmarks the disabled recorder path: ns per counter call
 /// when no recorder is installed (a relaxed atomic load + branch).
 fn disabled_ns_per_call() -> f64 {
@@ -161,10 +229,10 @@ fn main() {
     let parallel_icm = scaling_icm(PARALLEL_EDGES, 42);
     let parallel_sink = NodeId((parallel_icm.node_count() - 1) as u32);
 
-    eprintln!("[1/6] sampler throughput, recorder disabled ...");
+    eprintln!("[1/7] sampler throughput, recorder disabled ...");
     let (sps_disabled, steps_disabled) = sampler_throughput(&throughput_icm, 1);
 
-    eprintln!("[2/6] sampler throughput, recorder enabled (memory sink) ...");
+    eprintln!("[2/7] sampler throughput, recorder enabled (memory sink) ...");
     let sink = Arc::new(MemorySink::new());
     let (sps_enabled, steps_enabled, counted_increments_per_step) = {
         let _r = ScopedRecorder::install(sink.clone());
@@ -191,20 +259,24 @@ fn main() {
         )
     };
 
-    eprintln!("[3/6] dispatched recorder calls per step ...");
+    eprintln!("[3/7] dispatched recorder calls per step ...");
     let dispatched_per_step = dispatched_calls_per_step(&throughput_icm, 1);
 
-    eprintln!("[4/6] parallel estimator, recorder disabled ...");
+    eprintln!("[4/7] parallel estimator, recorder disabled ...");
     let par_disabled_ms = parallel_wall_ms(&parallel_icm, parallel_sink);
 
-    eprintln!("[5/6] parallel estimator, recorder enabled ...");
+    eprintln!("[5/7] parallel estimator, recorder enabled ...");
     let par_enabled_ms = {
         let _r = ScopedRecorder::install(Arc::new(MemorySink::new()));
         parallel_wall_ms(&parallel_icm, parallel_sink)
     };
 
-    eprintln!("[6/6] disabled fast-path micro-benchmark ...");
+    eprintln!("[6/7] disabled fast-path micro-benchmark ...");
     let ns_per_call = disabled_ns_per_call();
+
+    eprintln!("[7/7] conditioned chains (one required, one forbidden) ...");
+    let conditioned_icm = supercritical_icm(CONDITIONED_EDGES, 42);
+    let (checks_per_accept, conditioned_ns_per_step) = conditioned_chains(&conditioned_icm, 3);
 
     // Disabled overhead: cost of one disabled call times the dispatch
     // rate, as a fraction of step time. With batched counters the
@@ -217,7 +289,7 @@ fn main() {
     const DISABLED_BUDGET_PCT: f64 = 5.0;
 
     let json = format!(
-        "{{\n  \"bench\": \"sampler\",\n  \"schema\": \"{schema}\",\n  \"throughput_edges\": {te},\n  \"sampler\": {{\n    \"steps_per_sec_disabled\": {sd:.0},\n    \"steps_per_sec_enabled\": {se:.0},\n    \"steps_timed_disabled\": {std},\n    \"steps_timed_enabled\": {ste},\n    \"enabled_slowdown_pct\": {esp:.2},\n    \"enabled_budget_pct\": {eb},\n    \"enabled_within_budget\": {ewb}\n  }},\n  \"counters\": {{\n    \"counted_increments_per_step\": {cis:.3},\n    \"dispatched_calls_per_step\": {dcs:.5}\n  }},\n  \"parallel_estimator\": {{\n    \"edges\": {pe},\n    \"chains\": {pc},\n    \"samples_per_chain\": {ps},\n    \"wall_ms_disabled\": {pd:.1},\n    \"wall_ms_enabled\": {pen:.1}\n  }},\n  \"disabled_path\": {{\n    \"ns_per_call\": {nc:.3},\n    \"overhead_pct\": {dop:.4},\n    \"budget_pct\": {db},\n    \"within_budget\": {wb}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"sampler\",\n  \"schema\": \"{schema}\",\n  \"throughput_edges\": {te},\n  \"sampler\": {{\n    \"steps_per_sec_disabled\": {sd:.0},\n    \"steps_per_sec_enabled\": {se:.0},\n    \"steps_timed_disabled\": {std},\n    \"steps_timed_enabled\": {ste},\n    \"enabled_slowdown_pct\": {esp:.2},\n    \"enabled_budget_pct\": {eb},\n    \"enabled_within_budget\": {ewb}\n  }},\n  \"counters\": {{\n    \"counted_increments_per_step\": {cis:.3},\n    \"dispatched_calls_per_step\": {dcs:.5}\n  }},\n  \"parallel_estimator\": {{\n    \"edges\": {pe},\n    \"chains\": {pc},\n    \"samples_per_chain\": {ps},\n    \"wall_ms_disabled\": {pd:.1},\n    \"wall_ms_enabled\": {pen:.1}\n  }},\n  \"disabled_path\": {{\n    \"ns_per_call\": {nc:.3},\n    \"overhead_pct\": {dop:.4},\n    \"budget_pct\": {db},\n    \"within_budget\": {wb}\n  }},\n  \"conditioned\": {{\n    \"edges\": {ce},\n    \"chains\": 2,\n    \"steps_per_chain\": {cs},\n    \"condition_checks_per_accept\": {ccpa:.4},\n    \"ns_per_step\": {cns:.1}\n  }}\n}}\n",
         schema = flow_core::schema::BENCH_SAMPLER.tag(),
         te = THROUGHPUT_EDGES,
         sd = sps_disabled,
@@ -238,6 +310,10 @@ fn main() {
         dop = disabled_overhead_pct,
         db = DISABLED_BUDGET_PCT,
         wb = disabled_overhead_pct <= DISABLED_BUDGET_PCT,
+        ce = CONDITIONED_EDGES,
+        cs = CONDITIONED_STEPS,
+        ccpa = checks_per_accept,
+        cns = conditioned_ns_per_step,
     );
     match std::fs::write(&out_path, &json) {
         Ok(()) => {

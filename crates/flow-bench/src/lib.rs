@@ -43,6 +43,19 @@ pub fn scaling_icm(m: usize, seed: u64) -> Icm {
     Icm::new(graph, probs)
 }
 
+/// A model with `m` edges on `m/4` nodes and the same edge
+/// probabilities: mean branching ≈1.3 (supercritical, against ≈0.65 for
+/// [`scaling_icm`]), so flows from a well-connected node sit far from
+/// 0 and 1.
+pub fn supercritical_icm(m: usize, seed: u64) -> Icm {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let graph = flow_graph::generate::uniform_edges(&mut rng, (m / 4).max(4), m);
+    let probs = (0..graph.edge_count())
+        .map(|_| rng.random_range(0.05..0.6))
+        .collect();
+    Icm::new(graph, probs)
+}
+
 /// `communities` disjoint uniform-edge communities of roughly `m_each`
 /// edges each — the multi-community workload sharded serving targets:
 /// every community is its own weak component, so

@@ -67,12 +67,14 @@ impl ChainCheckpoint {
         );
         ChainCheckpoint {
             edge_count: sampler.state().edge_count(),
-            active_edges: sampler
-                .state()
-                .bits()
-                .iter_ones()
-                .map(|i| i as u32)
-                .collect(),
+            active_edges: {
+                // iter_ones gives no size hint; pre-sizing keeps the
+                // allocation at exactly what cache accounting counts.
+                let bits = sampler.state().bits();
+                let mut active = Vec::with_capacity(bits.count_ones());
+                active.extend(bits.iter_ones().map(|i| i as u32));
+                active
+            },
             proposal: sampler.proposal_kind(),
             steps: sampler.steps(),
             accepted: sampler.accepted(),
@@ -124,6 +126,11 @@ impl ChainCheckpoint {
     /// Restores the chain with an explicit set of flow conditions (the
     /// conditions themselves are model-level configuration, not chain
     /// state, so they are supplied rather than serialized).
+    ///
+    /// The restored state must satisfy every condition: a conditioned
+    /// chain re-tests only the conditions a flip can break, so it relies
+    /// on starting inside the support. A state that violates one is a
+    /// [`FlowError::Checkpoint`].
     pub fn restore_with_conditions<'a>(
         &self,
         icm: &'a Icm,
@@ -147,10 +154,21 @@ impl ChainCheckpoint {
             bits.len(),
             icm.edge_count()
         );
+        let state = PseudoState::from_bits(bits);
+        if let Some(c) = conditions.iter().find(|c| !c.holds(icm.graph(), &state)) {
+            return Err(FlowError::Checkpoint {
+                detail: format!(
+                    "checkpointed state breaks the {} flow {} ~> {}",
+                    if c.required { "required" } else { "forbidden" },
+                    c.source,
+                    c.sink
+                ),
+            });
+        }
         let sampler = PseudoStateSampler::from_checkpoint_parts(
             icm,
             self.proposal,
-            PseudoState::from_bits(bits),
+            state,
             conditions,
             self.steps,
             self.accepted,
@@ -455,6 +473,37 @@ mod tests {
             bad_index.validate(&icm),
             Err(FlowError::Checkpoint { .. })
         ));
+    }
+
+    #[test]
+    fn restore_rejects_a_state_outside_the_conditions() {
+        use flow_graph::NodeId;
+        use flow_icm::FlowCondition;
+        let icm = diamond_icm();
+        // Edges 0 (0->1) and 2 (1->3) carry 0 ~> 3; edge 1 alone does not.
+        let ckpt = |active_edges: Vec<u32>| ChainCheckpoint {
+            edge_count: 4,
+            active_edges,
+            proposal: ProposalKind::ResultingActivity,
+            steps: 10,
+            accepted: 5,
+            rng_state: [1, 2, 3, 4],
+        };
+        let required = vec![FlowCondition::requires(NodeId(0), NodeId(3))];
+        assert!(ckpt(vec![0, 2])
+            .restore_with_conditions(&icm, required.clone())
+            .is_ok());
+        assert!(matches!(
+            ckpt(vec![1]).restore_with_conditions(&icm, required),
+            Err(FlowError::Checkpoint { .. })
+        ));
+        let forbidden = vec![FlowCondition::forbids(NodeId(0), NodeId(3))];
+        assert!(matches!(
+            ckpt(vec![0, 2]).restore_with_conditions(&icm, forbidden),
+            Err(FlowError::Checkpoint { .. })
+        ));
+        // Unconditioned restores accept any in-range state.
+        assert!(ckpt(vec![1]).restore(&icm).is_ok());
     }
 
     #[test]

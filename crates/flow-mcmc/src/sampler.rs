@@ -37,10 +37,18 @@
 //! *start* inside the support; [`PseudoStateSampler::with_conditions`]
 //! constructs a satisfying initial state by activating randomized paths
 //! for required flows and retrying on forbidden-flow violations.
+//!
+//! Staying inside the support is also what keeps the per-step check
+//! cheap. Reachability is monotone in the active-edge set: switching an
+//! edge on can only add flows, switching one off can only remove them.
+//! So an off→on flip can break only forbidden conditions and an on→off
+//! flip only required ones, and the step re-tests just that side (see
+//! [`flipped_conditions_hold`]). The other side still holds because the
+//! pre-flip state satisfied every condition.
 
 use flow_core::{fault, FlowError, FlowResult};
 use flow_graph::traverse::BfsScratch;
-use flow_graph::{EdgeId, NodeId};
+use flow_graph::{DiGraph, EdgeId, NodeId};
 use flow_icm::query::conditions_hold;
 use flow_icm::{FlowCondition, Icm, PseudoState};
 use flow_stats::WeightTree;
@@ -150,6 +158,7 @@ struct PendingObs {
     empty_proposals: u64,
     mh_rejects: u64,
     condition_rejects: u64,
+    condition_checks: u64,
     accepts: u64,
     tree_rebuilds: u64,
 }
@@ -257,6 +266,11 @@ impl<'a> PseudoStateSampler<'a> {
     /// rebuilt from scratch, so callers that need bit-exact resume must
     /// pair this with [`Self::rebuild_tree`] on the live chain at the
     /// capture point (see `crate::checkpoint`).
+    ///
+    /// `state` must satisfy `conditions`: the step only re-tests the
+    /// conditions a flip can break (see the module docs), so a chain
+    /// started outside the support may never leave it.
+    /// [`crate::ChainCheckpoint::restore_with_conditions`] checks this.
     pub fn from_checkpoint_parts(
         icm: &'a Icm,
         kind: ProposalKind,
@@ -304,6 +318,7 @@ impl<'a> PseudoStateSampler<'a> {
             ("sampler.empty_proposals", p.empty_proposals),
             ("sampler.mh_rejects", p.mh_rejects),
             ("sampler.condition_rejects", p.condition_rejects),
+            ("sampler.condition_checks", p.condition_checks),
             ("sampler.accepts", p.accepts),
             ("sampler.tree_rebuilds", p.tree_rebuilds),
         ] {
@@ -452,7 +467,21 @@ impl<'a> PseudoStateSampler<'a> {
         // violation → certain rejection).
         if !self.conditions.is_empty() {
             self.state.flip(e);
-            let ok = self.conditions_hold_scratch();
+            let graph = self.icm.graph();
+            let (ok, checks) = flipped_conditions_hold(
+                graph,
+                &self.state,
+                &self.conditions,
+                !was_active,
+                &mut self.scratch,
+            );
+            self.pending.condition_checks += checks;
+            flow_core::debug_invariant!(
+                !ok || conditions_hold(graph, &self.state, &self.conditions),
+                "filtered condition check accepted a flip of edge {} that violates {:?}",
+                e.0,
+                self.conditions
+            );
             if !ok {
                 self.state.flip(e);
                 self.pending.condition_rejects += 1;
@@ -531,16 +560,30 @@ impl<'a> PseudoStateSampler<'a> {
         self.scratch
             .reach_set(self.icm.graph(), sources, |e| state.is_active(e))
     }
+}
 
-    fn conditions_hold_scratch(&mut self) -> bool {
-        let state = &self.state;
-        let graph = self.icm.graph();
-        self.conditions.iter().all(|c| {
-            self.scratch
-                .is_reachable(graph, c.source, c.sink, |e| state.is_active(e))
-                == c.required
-        })
-    }
+/// The condition indicator `I(x′, C)` of a proposed state `x′` that
+/// differs from a satisfying state in one edge, which is now
+/// `now_active`. Re-tests only the conditions that flip can break:
+/// forbidden ones when an edge turns on, required ones when it turns
+/// off (reachability is monotone in the active-edge set). Returns the
+/// indicator and the number of conditions re-tested.
+fn flipped_conditions_hold(
+    graph: &DiGraph,
+    state: &PseudoState,
+    conditions: &[FlowCondition],
+    now_active: bool,
+    scratch: &mut BfsScratch,
+) -> (bool, u64) {
+    let mut checks = 0;
+    let ok = conditions
+        .iter()
+        .filter(|c| c.required != now_active)
+        .all(|c| {
+            checks += 1;
+            scratch.is_reachable(graph, c.source, c.sink, |e| state.is_active(e)) == c.required
+        });
+    (ok, checks)
 }
 
 /// Activates the edges of one randomized path from `source` to `sink`
@@ -597,8 +640,60 @@ mod tests {
     use flow_icm::exact::{
         enumerate_conditional_probability, enumerate_event_probability, enumerate_flow_probability,
     };
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        #[test]
+        fn filtered_check_equals_full_check_after_one_flip(
+            seed in any::<u64>(),
+            n in 2usize..=12,
+            out_degree in 1usize..=3,
+            code in any::<u64>(),
+            pairs in prop::collection::vec((0u32..12, 0u32..12), 1..=4),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let m = (n * out_degree).min(n * (n - 1));
+            let graph = flow_graph::generate::uniform_edges(&mut rng, n, m);
+            // At most 36 edges, so one u64 codes the whole state.
+            let m = graph.edge_count();
+            let bits = flow_graph::BitSet::from_u64(m, code & ((1 << m) - 1));
+            let state = PseudoState::from_bits(bits);
+            // Read each condition off the state, so the state is valid.
+            let conditions: Vec<FlowCondition> = pairs
+                .iter()
+                .map(|&(u, v)| {
+                    let (u, v) = (NodeId(u % n as u32), NodeId(v % n as u32));
+                    if state.carries_flow(&graph, u, v) {
+                        FlowCondition::requires(u, v)
+                    } else {
+                        FlowCondition::forbids(u, v)
+                    }
+                })
+                .collect();
+            let mut scratch = BfsScratch::new(n);
+            for e in graph.edges() {
+                let mut flipped = state.clone();
+                flipped.flip(e);
+                let (filtered, checks) = flipped_conditions_hold(
+                    &graph,
+                    &flipped,
+                    &conditions,
+                    flipped.is_active(e),
+                    &mut scratch,
+                );
+                prop_assert_eq!(
+                    filtered,
+                    conditions_hold(&graph, &flipped, &conditions),
+                    "flip of edge {} under {:?}", e.0, conditions
+                );
+                prop_assert!(checks as usize <= conditions.len());
+            }
+        }
+    }
 
     fn diamond_icm() -> Icm {
         let g = graph_from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);

@@ -119,7 +119,8 @@ struct Slot {
 /// The LRU estimate cache.
 #[derive(Debug)]
 pub struct ServeCache {
-    slots: HashMap<u64, Slot>,
+    /// Boxed so table growth moves pointers, not whole entries.
+    slots: HashMap<u64, Box<Slot>>,
     byte_budget: usize,
     bytes: usize,
     tick: u64,
@@ -191,11 +192,11 @@ impl ServeCache {
         self.bytes += bytes;
         self.slots.insert(
             hash,
-            Slot {
+            Box::new(Slot {
                 entry,
                 last_used: self.tick,
                 bytes,
-            },
+            }),
         );
         while self.bytes > self.byte_budget {
             let victim = self
