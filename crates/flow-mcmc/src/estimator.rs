@@ -12,7 +12,9 @@
 //!   reaches — Fig. 4's retweet-count prediction).
 
 use crate::checkpoint::{ChainCheckpoint, FlowCheckpoint};
+use crate::driver::{drive, try_drive, Protocol, MCMC_SPANS};
 use crate::sampler::{ConditionInitError, ProposalKind, PseudoStateSampler};
+use crate::shared::{SharedTarget, TargetCounts};
 use flow_core::{FlowError, FlowResult};
 use flow_graph::NodeId;
 use flow_icm::{FlowCondition, Icm};
@@ -126,6 +128,10 @@ impl<'a> FlowEstimator<'a> {
         self.config
     }
 
+    fn protocol(&self) -> Protocol<'static> {
+        Protocol::cold(&self.config, self.icm.edge_count())
+    }
+
     /// Estimates `Pr[source ~> sink | M]` (Eq. 5).
     pub fn estimate_flow<R: Rng + ?Sized>(&self, source: NodeId, sink: NodeId, rng: &mut R) -> f64 {
         self.estimate_flows_from(source, &[sink], rng)[0]
@@ -180,23 +186,19 @@ impl<'a> FlowEstimator<'a> {
         sinks: &[NodeId],
         rng: &mut R,
     ) -> Vec<f64> {
-        let m = self.icm.edge_count();
-        {
-            let _burn = flow_obs::span("mcmc.burn_in");
-            sampler.run(self.config.burn_in_steps(m), rng);
-        }
-        let thin = self.config.thin_steps(m);
         let mut hits = vec![0u64; sinks.len()];
-        let _sampling = flow_obs::span("mcmc.sampling");
-        for _ in 0..self.config.samples {
-            sampler.run(thin, rng);
+        let protocol = Protocol {
+            spans: MCMC_SPANS,
+            ..self.protocol()
+        };
+        drive(sampler, rng, &protocol, |sampler, _, _| {
             let reach = sampler.reach_set(&[source]);
             for (k, &sink) in sinks.iter().enumerate() {
                 if sink != source && reach.get(sink.index()) {
                     hits[k] += 1;
                 }
             }
-        }
+        });
         hits.iter()
             .map(|&h| h as f64 / self.config.samples as f64)
             .collect()
@@ -221,46 +223,49 @@ impl<'a> FlowEstimator<'a> {
     ) -> FlowResult<FlowRun> {
         assert!(every > 0, "checkpoint cadence must be positive");
         let mut rng = StdRng::seed_from_u64(seed);
-        let m = self.icm.edge_count();
         let mut sampler = PseudoStateSampler::new(self.icm, self.config.proposal, &mut rng);
-        {
-            let _burn = flow_obs::span("mcmc.burn_in");
-            sampler.try_run(self.config.burn_in_steps(m), &mut rng)?;
-        }
-        let thin = self.config.thin_steps(m);
         let mut series: Vec<u8> = Vec::with_capacity(self.config.samples);
-        let _sampling = flow_obs::span("mcmc.sampling");
-        for k in 0..self.config.samples {
-            sampler.try_run(thin, &mut rng)?;
-            let flow = sampler.carries_flow(source, sink);
-            series.push(u8::from(flow));
-            flow_obs::event(|| {
-                flow_obs::Event::new("sample")
-                    .step(sampler.steps())
-                    .u64("index", k as u64)
-                    .u64("flow", u64::from(flow))
-            });
-            if (k + 1) % every == 0 && k + 1 < self.config.samples {
-                // `capture` rebuilds the weight tree, keeping this run
-                // on the exact same floating-point trajectory as any
-                // resumed continuation (which rebuilds from scratch).
-                let _capture = flow_obs::span("checkpoint.capture");
-                let ckpt = FlowCheckpoint {
-                    chain: ChainCheckpoint::capture(&mut sampler, &rng),
-                    source: source.0,
-                    sink: sink.0,
-                    samples_done: k + 1,
-                    every,
-                    series: series.clone(),
-                };
+        let protocol = Protocol {
+            spans: MCMC_SPANS,
+            checkpoint_every: Some(every),
+            ..self.protocol()
+        };
+        try_drive(
+            &mut sampler,
+            &mut rng,
+            &protocol,
+            |sampler, rng, at| {
+                let flow = sampler.carries_flow(source, sink);
+                series.push(u8::from(flow));
                 flow_obs::event(|| {
-                    flow_obs::Event::new("checkpoint.capture")
+                    flow_obs::Event::new("sample")
                         .step(sampler.steps())
-                        .u64("samples_done", (k + 1) as u64)
+                        .u64("index", at.index as u64)
+                        .u64("flow", u64::from(flow))
                 });
-                on_checkpoint(&ckpt);
-            }
-        }
+                if at.checkpoint {
+                    // `capture` rebuilds the weight tree, keeping this run
+                    // on the exact same floating-point trajectory as any
+                    // resumed continuation (which rebuilds from scratch).
+                    let _capture = flow_obs::span("checkpoint.capture");
+                    let ckpt = FlowCheckpoint {
+                        chain: ChainCheckpoint::capture(sampler, rng),
+                        source: source.0,
+                        sink: sink.0,
+                        samples_done: at.index + 1,
+                        every,
+                        series: series.clone(),
+                    };
+                    flow_obs::event(|| {
+                        flow_obs::Event::new("checkpoint.capture")
+                            .step(sampler.steps())
+                            .u64("samples_done", (at.index + 1) as u64)
+                    });
+                    on_checkpoint(&ckpt);
+                }
+            },
+            |_, _| (),
+        )?;
         Ok(FlowRun::from_series(series))
     }
 
@@ -290,18 +295,28 @@ impl<'a> FlowEstimator<'a> {
                 .step(sampler.steps())
                 .u64("samples_done", ckpt.samples_done as u64)
         });
-        let thin = self.config.thin_steps(self.icm.edge_count());
         let mut series = ckpt.series.clone();
-        let _sampling = flow_obs::span("mcmc.sampling");
-        for k in ckpt.samples_done..self.config.samples {
-            sampler.try_run(thin, &mut rng)?;
-            series.push(u8::from(sampler.carries_flow(source, sink)));
-            if (k + 1) % ckpt.every == 0 && k + 1 < self.config.samples {
-                // Mirror the uninterrupted run's rebuild at every
-                // checkpoint boundary to stay on its exact trajectory.
-                sampler.rebuild_tree();
-            }
-        }
+        let protocol = Protocol {
+            burn_in: None,
+            samples: ckpt.samples_done..self.config.samples,
+            checkpoint_every: Some(ckpt.every),
+            spans: MCMC_SPANS,
+            ..self.protocol()
+        };
+        try_drive(
+            &mut sampler,
+            &mut rng,
+            &protocol,
+            |sampler, _, at| {
+                series.push(u8::from(sampler.carries_flow(source, sink)));
+                if at.checkpoint {
+                    // Mirror the uninterrupted run's rebuild at every
+                    // checkpoint boundary to stay on its exact trajectory.
+                    sampler.rebuild_tree();
+                }
+            },
+            |_, _| (),
+        )?;
         Ok(FlowRun::from_series(series))
     }
 
@@ -312,17 +327,13 @@ impl<'a> FlowEstimator<'a> {
         flows: &[(NodeId, NodeId)],
         rng: &mut R,
     ) -> f64 {
-        let m = self.icm.edge_count();
         let mut sampler = PseudoStateSampler::new(self.icm, self.config.proposal, rng);
-        sampler.run(self.config.burn_in_steps(m), rng);
-        let thin = self.config.thin_steps(m);
         let mut hits = 0u64;
-        for _ in 0..self.config.samples {
-            sampler.run(thin, rng);
+        drive(&mut sampler, rng, &self.protocol(), |sampler, _, _| {
             if flows.iter().all(|&(u, v)| sampler.carries_flow(u, v)) {
                 hits += 1;
             }
-        }
+        });
         hits as f64 / self.config.samples as f64
     }
 
@@ -335,33 +346,17 @@ impl<'a> FlowEstimator<'a> {
         rng: &mut R,
     ) -> CommunityFlow {
         assert!(!community.is_empty(), "community must be non-empty");
-        let m = self.icm.edge_count();
+        let target = SharedTarget::Community(community.to_vec());
         let mut sampler = PseudoStateSampler::new(self.icm, self.config.proposal, rng);
-        sampler.run(self.config.burn_in_steps(m), rng);
-        let thin = self.config.thin_steps(m);
-        let mut all_hits = 0u64;
-        let mut any_hits = 0u64;
-        let mut reached_total = 0u64;
-        for _ in 0..self.config.samples {
-            sampler.run(thin, rng);
-            let reach = sampler.reach_set(&[source]);
-            let reached = community
-                .iter()
-                .filter(|&&v| v != source && reach.get(v.index()))
-                .count();
-            if reached == community.len() {
-                all_hits += 1;
-            }
-            if reached > 0 {
-                any_hits += 1;
-            }
-            reached_total += reached as u64;
-        }
+        let mut counts = TargetCounts::default();
+        drive(&mut sampler, rng, &self.protocol(), |sampler, _, _| {
+            counts.record(&target, source, sampler.reach_set(&[source]));
+        });
         let n = self.config.samples as f64;
         CommunityFlow {
-            all: all_hits as f64 / n,
-            any: any_hits as f64 / n,
-            expected_fraction: reached_total as f64 / (n * community.len() as f64),
+            all: counts.all as f64 / n,
+            any: counts.any as f64 / n,
+            expected_fraction: counts.members as f64 / (n * community.len() as f64),
         }
     }
 
@@ -369,16 +364,12 @@ impl<'a> FlowEstimator<'a> {
     /// pseudo-state, the number of non-source nodes reached. This is the
     /// dispersion measure behind Fig. 4 (predicted retweet counts).
     pub fn impact_distribution<R: Rng + ?Sized>(&self, source: NodeId, rng: &mut R) -> Vec<usize> {
-        let m = self.icm.edge_count();
         let mut sampler = PseudoStateSampler::new(self.icm, self.config.proposal, rng);
-        sampler.run(self.config.burn_in_steps(m), rng);
-        let thin = self.config.thin_steps(m);
         let mut impacts = Vec::with_capacity(self.config.samples);
-        for _ in 0..self.config.samples {
-            sampler.run(thin, rng);
+        drive(&mut sampler, rng, &self.protocol(), |sampler, _, _| {
             let reach = sampler.reach_set(&[source]);
             impacts.push(reach.count_ones() - 1); // exclude the source
-        }
+        });
         impacts
     }
 }

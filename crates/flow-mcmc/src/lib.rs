@@ -12,9 +12,11 @@
 //! * [`PseudoStateSampler`] — the chain itself, supporting both
 //!   conventions for the proposal weights found in the paper (see
 //!   [`ProposalKind`]).
-//! * [`FlowEstimator`] — burn-in/thinning orchestration plus estimators
-//!   for end-to-end, joint, conditional, source-to-community flow, and
-//!   dispersion/impact distributions.
+//! * [`FlowEstimator`] — estimators for end-to-end, joint, conditional,
+//!   source-to-community flow, and dispersion/impact distributions.
+//!   Every estimator in this crate runs its chain through one internal
+//!   driver that owns burn-in, thinning, budgets, checkpoint cadence,
+//!   phase spans and counter flushing.
 //! * [`nested`] — nested Metropolis–Hastings (§III-E): an outer loop
 //!   samples point ICMs from a betaICM, the inner loop estimates the
 //!   flow probability of each, yielding a *distribution* over flow
@@ -29,6 +31,7 @@
 pub mod budget;
 pub mod checkpoint;
 pub mod diagnostics;
+mod driver;
 pub mod estimator;
 pub mod influence;
 pub mod nested;

@@ -9,6 +9,7 @@
 
 use crate::budget::{DegradationReason, EstimateDiagnostics, PartialEstimate, RunBudget};
 use crate::diagnostics::{effective_sample_size, gelman_rubin};
+use crate::driver::{drive, try_drive, Budget, Protocol};
 use crate::estimator::McmcConfig;
 use crate::sampler::PseudoStateSampler;
 use flow_core::{FlowError, FlowResult};
@@ -16,8 +17,7 @@ use flow_graph::NodeId;
 use flow_icm::Icm;
 use flow_obs::Event;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::time::Instant;
+use rand::SeedableRng;
 
 /// A pooled multi-chain flow estimate with convergence diagnostics.
 #[derive(Clone, Debug)]
@@ -76,41 +76,16 @@ pub fn multi_chain_flow(
     threads: bool,
 ) -> MultiChainEstimate {
     assert!(chains >= 1, "need at least one chain");
-    let run_one = |chain_idx: usize| -> (Vec<f64>, f64) {
-        let mut rng = StdRng::seed_from_u64(
-            seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(chain_idx as u64 + 1)),
-        );
-        let m = icm.edge_count();
+    let results = for_each_chain(chains, threads, |chain_idx| {
+        let mut rng = StdRng::seed_from_u64(chain_seed(seed, chain_idx, 0));
         let mut sampler = PseudoStateSampler::new(icm, config.proposal, &mut rng);
-        sampler.run(config.burn_in_steps(m), &mut rng);
-        let thin = config.thin_steps(m);
         let mut series = Vec::with_capacity(config.samples);
-        for _ in 0..config.samples {
-            sampler.run(thin, &mut rng);
-            series.push(if sampler.carries_flow(source, sink) {
-                1.0
-            } else {
-                0.0
-            });
-        }
+        let protocol = Protocol::cold(&config, icm.edge_count());
+        drive(&mut sampler, &mut rng, &protocol, |sampler, _, _| {
+            series.push(f64::from(u8::from(sampler.carries_flow(source, sink))));
+        });
         (series, sampler.acceptance_rate())
-    };
-
-    let results: Vec<(Vec<f64>, f64)> = if threads && chains > 1 {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..chains)
-                .map(|i| scope.spawn(move || run_one(i)))
-                .collect();
-            handles
-                .into_iter()
-                // flow-analyze: allow(L1: join only fails if a chain panicked; re-raising preserves the original panic, L7: re-raise is the designed propagation — swallowing a chain panic would corrupt the pooled estimate)
-                .map(|h| h.join().expect("chain thread panicked"))
-                .collect()
-        })
-    } else {
-        (0..chains).map(run_one).collect()
-    };
-
+    });
     let (chains_out, acceptance_rates) = results.into_iter().unzip();
     MultiChainEstimate {
         chains: chains_out,
@@ -118,9 +93,30 @@ pub fn multi_chain_flow(
     }
 }
 
-/// Per-chain seed stream: the same formula [`multi_chain_flow`] uses,
-/// extended with a restart-attempt component so every restart of every
-/// chain draws from a distinct, deterministic stream.
+/// Runs `run` for every chain index, on scoped threads when `threads`
+/// is set and there is more than one chain; results are in chain order.
+fn for_each_chain<T: Send>(
+    chains: usize,
+    threads: bool,
+    run: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    if !threads || chains < 2 {
+        return (0..chains).map(run).collect();
+    }
+    std::thread::scope(|scope| {
+        let run = &run;
+        let handles: Vec<_> = (0..chains).map(|i| scope.spawn(move || run(i))).collect();
+        handles
+            .into_iter()
+            // flow-analyze: allow(L1: join only fails if a chain panicked; re-raising preserves the original panic, L7: re-raise is the designed propagation — swallowing a chain panic would corrupt the pooled estimate)
+            .map(|h| h.join().expect("chain thread panicked"))
+            .collect()
+    })
+}
+
+/// Per-chain seed stream. Restart attempt 0 is the stream
+/// [`multi_chain_flow`] uses; each restart of each chain draws from a
+/// distinct, deterministic stream.
 fn chain_seed(seed: u64, chain_idx: usize, attempt: usize) -> u64 {
     seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(chain_idx as u64 + 1)
         ^ 0xD1B5_4A32_D192_ED03u64.wrapping_mul(attempt as u64)
@@ -176,78 +172,30 @@ fn run_chain_guarded(
             .u64("attempt", attempt as u64)
     });
     let mut rng = StdRng::seed_from_u64(chain_seed(seed, chain_idx, attempt));
-    let m = icm.edge_count();
     let mut sampler = PseudoStateSampler::new(icm, config.proposal, &mut rng);
-    // Wall clock bounds the run budget only; it never feeds the chain.
-    #[allow(clippy::disallowed_methods)]
-    let start = Instant::now();
-    let mut steps_used: u64 = 0;
-    let mut degradation = Vec::new();
-    let thin = config.thin_steps(m) as u64;
-    let burn = config.burn_in_steps(m) as u64;
-
-    // Spend the burn-in in thin-sized slices so budget checks stay
+    let cold = Protocol::cold(config, icm.edge_count());
+    let budget = Budget::per_chain(budget, chain_idx, cold.thin);
+    // Burn-in runs in thin-sized slices so budget checks stay
     // responsive even when burn-in dominates.
-    let mut burned = 0u64;
-    let over_budget = |steps_used: u64, collected: usize| -> Option<DegradationReason> {
-        if let Some(max) = budget.max_steps {
-            if steps_used + thin > max {
-                return Some(DegradationReason::StepBudgetExhausted {
-                    chain: chain_idx,
-                    samples_collected: collected,
-                    samples_requested: config.samples,
-                });
-            }
-        }
-        if let Some(max) = budget.max_wall {
-            if start.elapsed() >= max {
-                return Some(DegradationReason::WallClockExhausted {
-                    chain: chain_idx,
-                    samples_collected: collected,
-                    samples_requested: config.samples,
-                });
-            }
-        }
-        None
+    let protocol = Protocol {
+        burn_block: cold.thin,
+        budget: Some(&budget),
+        ..cold
     };
-
     // Budgeted runs may ask for far more samples than the budget will
     // ever deliver; don't preallocate for the request.
     let mut series = Vec::with_capacity(config.samples.min(4_096));
-    'sampling: {
-        while burned < burn {
-            if let Some(reason) = over_budget(steps_used, 0) {
-                flow_obs::event(|| reason.to_obs_event().step(steps_used));
-                degradation.push(reason);
-                break 'sampling;
-            }
-            let slice = thin.min(burn - burned) as usize;
-            sampler
-                .try_run(slice, &mut rng)
-                .map_err(|e| tag_chain(e, chain_idx))?;
-            steps_used += slice as u64;
-            burned += slice as u64;
-        }
-        for _ in 0..config.samples {
-            if let Some(reason) = over_budget(steps_used, series.len()) {
-                flow_obs::event(|| reason.to_obs_event().step(steps_used));
-                degradation.push(reason);
-                break 'sampling;
-            }
-            sampler
-                .try_run(thin as usize, &mut rng)
-                .map_err(|e| tag_chain(e, chain_idx))?;
-            steps_used += thin;
-            series.push(if sampler.carries_flow(source, sink) {
-                1.0
-            } else {
-                0.0
-            });
-        }
-    }
+    let (driven, ()) = try_drive(
+        &mut sampler,
+        &mut rng,
+        &protocol,
+        |sampler, _, _| series.push(f64::from(u8::from(sampler.carries_flow(source, sink)))),
+        |_, _| (),
+    )
+    .map_err(|e| tag_chain(e, chain_idx))?;
     flow_obs::event(|| {
         Event::new("chain.finish")
-            .step(steps_used)
+            .step(driven.steps)
             .u64("attempt", attempt as u64)
             .u64("samples", series.len() as u64)
             .f64("acceptance_rate", sampler.acceptance_rate())
@@ -255,8 +203,8 @@ fn run_chain_guarded(
     Ok(ChainRun {
         series,
         acceptance_rate: sampler.acceptance_rate(),
-        steps: steps_used,
-        degradation,
+        steps: driven.steps,
+        degradation: driven.cut.into_iter().collect(),
     })
 }
 
@@ -310,28 +258,9 @@ pub fn multi_chain_flow_guarded(
     let mut degradation: Vec<DegradationReason> = Vec::new();
 
     // First pass: every chain's initial attempt (threaded if requested).
-    let first_pass: Vec<FlowResult<ChainRun>> = if threads && chains > 1 {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..chains)
-                .map(|i| {
-                    let config = &config;
-                    let budget = &budget;
-                    scope.spawn(move || {
-                        run_chain_guarded(icm, source, sink, config, budget, i, 0, seed)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                // flow-analyze: allow(L1: join only fails if a chain panicked; re-raising preserves the original panic, L7: re-raise is the designed propagation — swallowing a chain panic would corrupt the pooled estimate)
-                .map(|h| h.join().expect("chain thread panicked"))
-                .collect()
-        })
-    } else {
-        (0..chains)
-            .map(|i| run_chain_guarded(icm, source, sink, &config, &budget, i, 0, seed))
-            .collect()
-    };
+    let first_pass = for_each_chain(chains, threads, |i| {
+        run_chain_guarded(icm, source, sink, &config, &budget, i, 0, seed)
+    });
 
     // A chain with a constant series only counts as suspicious when a
     // sibling shows the indicator actually varies under this model.
@@ -552,35 +481,6 @@ pub fn multi_chain_flow_guarded(
     }
 }
 
-/// Convenience: keep doubling the per-chain sample count until the
-/// pooled standard error drops below `target_se` (or the budget of
-/// `max_rounds` doublings is exhausted). Returns the final estimate.
-///
-/// This gives callers an *adaptive* interface — "estimate this flow to
-/// ±1%" — instead of guessing sample counts.
-pub fn estimate_to_precision<R: Rng + ?Sized>(
-    icm: &Icm,
-    source: NodeId,
-    sink: NodeId,
-    base: McmcConfig,
-    target_se: f64,
-    max_rounds: usize,
-    rng: &mut R,
-) -> MultiChainEstimate {
-    assert!(target_se > 0.0);
-    let mut config = base;
-    let mut rounds = 0;
-    loop {
-        let seed = rng.random::<u64>();
-        let est = multi_chain_flow(icm, source, sink, config, 2, seed, false);
-        if est.standard_error() <= target_se || rounds >= max_rounds {
-            return est;
-        }
-        config.samples *= 2;
-        rounds += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -628,28 +528,6 @@ mod tests {
         // Same seeds per chain index → identical series.
         assert_eq!(seq.chains, par.chains);
         assert_eq!(seq.acceptance_rates, par.acceptance_rates);
-    }
-
-    #[test]
-    fn adaptive_precision_tightens() {
-        use rand::SeedableRng as _;
-        let icm = diamond_icm();
-        let mut rng = StdRng::seed_from_u64(13);
-        let est = estimate_to_precision(
-            &icm,
-            NodeId(0),
-            NodeId(3),
-            McmcConfig {
-                samples: 250,
-                ..Default::default()
-            },
-            0.01,
-            6,
-            &mut rng,
-        );
-        assert!(est.standard_error() <= 0.011, "se {}", est.standard_error());
-        let exact = enumerate_flow_probability(&icm, NodeId(0), NodeId(3));
-        assert!((est.estimate() - exact).abs() < 0.04);
     }
 
     #[test]
@@ -705,13 +583,15 @@ mod tests {
     #[test]
     fn guarded_step_budget_truncates_gracefully() {
         let icm = diamond_icm();
-        let m = icm.edge_count();
+        // The diamond's default protocol, spelled out.
         let cfg = McmcConfig {
             samples: 10_000,
+            burn_in: Some(500),
+            thin: Some(8),
             ..Default::default()
         };
         // Enough for burn-in plus only ~500 retained samples per chain.
-        let per_chain = (cfg.burn_in_steps(m) + 500 * cfg.thin_steps(m)) as u64;
+        let per_chain = 500 + 500 * 8;
         let est = multi_chain_flow_guarded(
             &icm,
             NodeId(0),

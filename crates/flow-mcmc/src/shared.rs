@@ -29,14 +29,15 @@
 
 use crate::budget::DegradationReason;
 use crate::checkpoint::ChainCheckpoint;
+use crate::driver::{try_drive, Budget, Protocol, MCMC_SPANS};
 use crate::estimator::McmcConfig;
 use crate::sampler::PseudoStateSampler;
 use flow_core::FlowResult;
-use flow_graph::NodeId;
+use flow_graph::{BitSet, NodeId};
 use flow_icm::{FlowCondition, Icm};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One thing a shared chain evaluates at every retained sample.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -73,6 +74,26 @@ impl TargetCounts {
             any: self.any + other.any,
             members: self.members + other.members,
         }
+    }
+
+    /// Counts one retained sample, given the nodes `reach`ed from
+    /// `source` (the source itself never counts as reached).
+    pub(crate) fn record(&mut self, target: &SharedTarget, source: NodeId, reach: &BitSet) {
+        let members = match target {
+            SharedTarget::Sink(sink) => std::slice::from_ref(sink),
+            SharedTarget::Community(members) => members.as_slice(),
+        };
+        let reached = members
+            .iter()
+            .filter(|&&v| v != source && reach.get(v.index()))
+            .count() as u64;
+        if reached == members.len() as u64 && !members.is_empty() {
+            self.all += 1;
+        }
+        if reached > 0 {
+            self.any += 1;
+        }
+        self.members += reached;
     }
 }
 
@@ -114,43 +135,6 @@ pub struct SharedChainOutcome {
     pub checkpoint: ChainCheckpoint,
 }
 
-/// Budget bookkeeping for one call: steps consumed and wall elapsed.
-struct CallBudget {
-    start_steps: u64,
-    max_steps: Option<u64>,
-    started: Option<Instant>,
-    deadline: Option<Duration>,
-}
-
-impl CallBudget {
-    fn new(start_steps: u64, req: &SharedChainRequest<'_>) -> Self {
-        // Wall deadlines bound the loop; they never feed the trajectory.
-        #[allow(clippy::disallowed_methods)]
-        let started = req.deadline.map(|_| Instant::now()); // flow-analyze: allow(L2: deadline budget accounting only)
-        CallBudget {
-            start_steps,
-            max_steps: req.max_steps,
-            started,
-            deadline: req.deadline,
-        }
-    }
-
-    /// Whether the next block of `upcoming` steps fits, and if not, why.
-    fn check(&self, now_steps: u64, upcoming: u64) -> Option<&'static str> {
-        if let Some(max) = self.max_steps {
-            if now_steps - self.start_steps + upcoming > max {
-                return Some("steps");
-            }
-        }
-        if let (Some(t0), Some(limit)) = (&self.started, self.deadline) {
-            if t0.elapsed() >= limit {
-                return Some("wall");
-            }
-        }
-        None
-    }
-}
-
 /// Estimates flows to many targets from a single chain under a budget.
 ///
 /// Cold starts pay `config`'s burn-in; warm starts continue the
@@ -164,8 +148,6 @@ pub fn shared_chain_flows(
     config: &McmcConfig,
     req: &SharedChainRequest<'_>,
 ) -> FlowResult<SharedChainOutcome> {
-    let m = icm.edge_count();
-    let thin = config.thin_steps(m) as u64;
     let (mut sampler, mut rng) = match req.warm {
         Some(ckpt) => ckpt.restore_with_conditions(icm, req.conditions.to_vec())?,
         None => {
@@ -179,97 +161,37 @@ pub fn shared_chain_flows(
             (sampler, rng)
         }
     };
-    let entry_steps = sampler.steps();
-    let budget = CallBudget::new(entry_steps, req);
-    let mut degradation = Vec::new();
-    let mut counts = vec![TargetCounts::default(); req.targets.len()];
-    let mut samples_done = 0usize;
-
-    let exhausted = |why: &'static str, done: usize, degradation: &mut Vec<_>| {
-        let reason = if why == "steps" {
-            DegradationReason::StepBudgetExhausted {
-                chain: 0,
-                samples_collected: done,
-                samples_requested: req.samples,
-            }
-        } else {
-            DegradationReason::WallClockExhausted {
-                chain: 0,
-                samples_collected: done,
-                samples_requested: req.samples,
-            }
-        };
-        flow_obs::event(|| reason.to_obs_event());
-        degradation.push(reason);
+    let budget = Budget::per_call(req.max_steps, req.deadline);
+    let cold = Protocol::cold(config, icm.edge_count());
+    let protocol = Protocol {
+        // Warm starts skip burn-in; cold ones run it in blocks so a
+        // tight budget can interrupt it.
+        burn_in: cold.burn_in.filter(|_| req.warm.is_none()),
+        burn_block: cold.thin.max(64),
+        samples: 0..req.samples,
+        spans: MCMC_SPANS,
+        budget: Some(&budget),
+        ..cold
     };
-
-    // Burn-in (cold starts only), in thin-sized blocks so a tight
-    // budget can interrupt it.
-    if req.warm.is_none() {
-        let _burn = flow_obs::span("mcmc.burn_in");
-        let mut remaining = config.burn_in_steps(m) as u64;
-        while remaining > 0 {
-            let block = remaining.min(thin.max(64));
-            if let Some(why) = budget.check(sampler.steps(), block) {
-                exhausted(why, 0, &mut degradation);
-                let checkpoint = ChainCheckpoint::capture(&mut sampler, &rng);
-                return Ok(SharedChainOutcome {
-                    counts,
-                    samples_done: 0,
-                    steps: sampler.steps() - entry_steps,
-                    degradation,
-                    checkpoint,
-                });
-            }
-            sampler.try_run(block as usize, &mut rng)?;
-            remaining -= block;
-        }
-    }
-
-    {
-        let _sampling = flow_obs::span("mcmc.sampling");
-        for _ in 0..req.samples {
-            if let Some(why) = budget.check(sampler.steps(), thin) {
-                exhausted(why, samples_done, &mut degradation);
-                break;
-            }
-            sampler.try_run(thin as usize, &mut rng)?;
-            let source = req.source;
+    let mut counts = vec![TargetCounts::default(); req.targets.len()];
+    let source = req.source;
+    let (driven, checkpoint) = try_drive(
+        &mut sampler,
+        &mut rng,
+        &protocol,
+        |sampler, _, _| {
             let reach = sampler.reach_set(&[source]);
-            for (k, target) in req.targets.iter().enumerate() {
-                match target {
-                    SharedTarget::Sink(sink) => {
-                        if *sink != source && reach.get(sink.index()) {
-                            counts[k].all += 1;
-                            counts[k].any += 1;
-                            counts[k].members += 1;
-                        }
-                    }
-                    SharedTarget::Community(members) => {
-                        let reached = members
-                            .iter()
-                            .filter(|&&v| v != source && reach.get(v.index()))
-                            .count() as u64;
-                        if reached == members.len() as u64 && !members.is_empty() {
-                            counts[k].all += 1;
-                        }
-                        if reached > 0 {
-                            counts[k].any += 1;
-                        }
-                        counts[k].members += reached;
-                    }
-                }
+            for (count, target) in counts.iter_mut().zip(req.targets) {
+                count.record(target, source, reach);
             }
-            samples_done += 1;
-        }
-    }
-
-    let checkpoint = ChainCheckpoint::capture(&mut sampler, &rng);
+        },
+        |sampler, rng| ChainCheckpoint::capture(sampler, rng),
+    )?;
     Ok(SharedChainOutcome {
         counts,
-        samples_done,
-        steps: sampler.steps() - entry_steps,
-        degradation,
+        samples_done: driven.samples,
+        steps: driven.steps,
+        degradation: driven.cut.into_iter().collect(),
         checkpoint,
     })
 }
@@ -419,9 +341,9 @@ mod tests {
                 deadline: None,
             },
         )?;
-        // No burn-in: exactly thin steps per retained sample.
-        let thin = cfg(400).thin_steps(icm.edge_count()) as u64;
-        assert_eq!(warm.steps, 400 * thin);
+        // No burn-in: exactly thin steps per retained sample (the
+        // diamond's default thin is max(m, 8) = 8).
+        assert_eq!(warm.steps, 400 * 8);
         assert_eq!(warm.samples_done, 400);
         // Pooled estimate is statistically sane.
         let exact = enumerate_flow_probability(&icm, NodeId(0), NodeId(3));

@@ -14,6 +14,7 @@
 //! resulting sample set estimates the arrival-time distribution and
 //! deadline probabilities `Pr[u ~> v within t]`.
 
+use crate::driver::{drive, Protocol, TIMED_SPANS};
 use crate::estimator::McmcConfig;
 use crate::sampler::PseudoStateSampler;
 use flow_graph::paths::shortest_path_distances;
@@ -166,6 +167,13 @@ impl<'a> TimedFlowEstimator<'a> {
         Self::new(icm, vec![delay; icm.edge_count()], config)
     }
 
+    fn protocol(&self) -> Protocol<'static> {
+        Protocol {
+            spans: TIMED_SPANS,
+            ..Protocol::cold(&self.config, self.icm.edge_count())
+        }
+    }
+
     /// Samples the arrival-time distribution of `source ~> sink`.
     pub fn arrival_times<R: Rng + ?Sized>(
         &self,
@@ -173,25 +181,17 @@ impl<'a> TimedFlowEstimator<'a> {
         sink: NodeId,
         rng: &mut R,
     ) -> ArrivalTimes {
-        let m = self.icm.edge_count();
         let mut sampler = PseudoStateSampler::new(self.icm, self.config.proposal, rng);
-        {
-            let _burn = flow_obs::span("timed.burn_in");
-            sampler.run(self.config.burn_in_steps(m), rng);
-        }
-        let thin = self.config.thin_steps(m);
         let mut samples = Vec::with_capacity(self.config.samples);
         let graph = self.icm.graph();
-        let mut delay_buf = vec![0.0f64; m];
-        let _sampling = flow_obs::span("timed.sampling");
-        for _ in 0..self.config.samples {
-            sampler.run(thin, rng);
-            let state = sampler.state().clone();
-            if !state.carries_flow(graph, source, sink) {
+        let mut delay_buf = vec![0.0f64; self.icm.edge_count()];
+        drive(&mut sampler, rng, &self.protocol(), |sampler, rng, _| {
+            if !sampler.carries_flow(source, sink) {
                 samples.push(None);
-                continue;
+                return;
             }
             // Draw delays on active edges only, then shortest path.
+            let state = sampler.state();
             for e in graph.edges() {
                 if state.is_active(e) {
                     delay_buf[e.index()] = self.delays[e.index()].sample(rng);
@@ -205,8 +205,7 @@ impl<'a> TimedFlowEstimator<'a> {
                 |e: EdgeId| delay_buf[e.index()],
             );
             samples.push(arrival);
-        }
-        drop(_sampling);
+        });
         flow_obs::event(|| {
             flow_obs::Event::new("timed.arrivals")
                 .step(sampler.steps())
@@ -229,20 +228,12 @@ impl<'a> TimedFlowEstimator<'a> {
         deadline: f64,
         rng: &mut R,
     ) -> f64 {
-        let m = self.icm.edge_count();
         let mut sampler = PseudoStateSampler::new(self.icm, self.config.proposal, rng);
-        {
-            let _burn = flow_obs::span("timed.burn_in");
-            sampler.run(self.config.burn_in_steps(m), rng);
-        }
-        let thin = self.config.thin_steps(m);
         let graph = self.icm.graph();
-        let mut delay_buf = vec![0.0f64; m];
-        let _sampling = flow_obs::span("timed.sampling");
+        let mut delay_buf = vec![0.0f64; self.icm.edge_count()];
         let mut total = 0usize;
-        for _ in 0..self.config.samples {
-            sampler.run(thin, rng);
-            let state = sampler.state().clone();
+        drive(&mut sampler, rng, &self.protocol(), |sampler, rng, _| {
+            let state = sampler.state();
             for e in graph.edges() {
                 if state.is_active(e) {
                     delay_buf[e.index()] = self.delays[e.index()].sample(rng);
@@ -259,7 +250,7 @@ impl<'a> TimedFlowEstimator<'a> {
                 .enumerate()
                 .filter(|&(v, d)| v != source.index() && matches!(d, Some(t) if *t <= deadline))
                 .count();
-        }
+        });
         total as f64 / self.config.samples as f64
     }
 }

@@ -36,9 +36,11 @@ fn frozen_icm() -> Icm {
 #[test]
 fn stall_events_match_partial_estimate_report() {
     let icm = frozen_icm();
-    let m = icm.edge_count();
+    // The default protocol for m = 2 edges, spelled out.
     let config = McmcConfig {
         samples: 50,
+        burn_in: Some(500),
+        thin: Some(8),
         ..Default::default()
     };
     let sink = Arc::new(MemorySink::new());
@@ -77,7 +79,7 @@ fn stall_events_match_partial_estimate_report() {
 
     let stall_events = sink.events_named("watchdog.stall");
     assert_eq!(stall_events.len(), 2, "one stall event per stalled chain");
-    let expected_steps = (config.burn_in_steps(m) + config.samples * config.thin_steps(m)) as u64;
+    let expected_steps = 500 + 50 * 8;
     for (chain, rate) in &stalled {
         let ev = stall_events
             .iter()
@@ -106,12 +108,14 @@ fn stall_events_match_partial_estimate_report() {
 #[test]
 fn step_budget_event_matches_degradation_entry() {
     let icm = diamond_icm();
-    let m = icm.edge_count();
+    // The default protocol for m = 4 edges, spelled out.
     let config = McmcConfig {
         samples: 10_000,
+        burn_in: Some(500),
+        thin: Some(8),
         ..Default::default()
     };
-    let per_chain = (config.burn_in_steps(m) + 100 * config.thin_steps(m)) as u64;
+    let per_chain = 500 + 100 * 8;
     let sink = Arc::new(MemorySink::new());
     let est = {
         let _r = ScopedRecorder::install(sink.clone());

@@ -1,8 +1,7 @@
 //! Sharded-serving contracts: `--shards 1` byte-identity, tolerance
 //! agreement between routed and global answers, batch-order-independent
 //! cross-shard merges, typed rejection of conditions outside the
-//! reachable subgraph, empty-shard tolerance, builder validation, and
-//! the deprecated-constructor shims.
+//! reachable subgraph, empty-shard tolerance, and builder validation.
 
 use flow_core::FlowError;
 use flow_graph::graph::graph_from_edges;
@@ -303,24 +302,4 @@ fn builder_rejects_invalid_configurations() {
     assert!(matches!(conflict, Err(FlowError::Config { .. })));
     // The happy path still builds.
     assert!(ServeEngine::builder().build().is_ok());
-}
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_constructor_shims_still_serve() {
-    let icm = three_communities();
-    let queries = vec![FlowQuery::flow(NodeId(0), NodeId(3))];
-    let mut old = ServeEngine::new(config(47, 1));
-    let mut new = build(47, 1);
-    let a = answer(&old.execute_batch(&icm, &queries)[0])
-        .estimate
-        .to_bits();
-    let b = answer(&new.execute_batch(&icm, &queries)[0])
-        .estimate
-        .to_bits();
-    assert_eq!(a, b, "the shim must behave exactly like the builder");
-
-    let mut with_cache = ServeEngine::with_cache(config(47, 1), ServeCache::new(1 << 20));
-    with_cache.execute_batch(&icm, &queries);
-    assert_eq!(with_cache.install_model(0), 1, "stale entries are dropped");
 }
