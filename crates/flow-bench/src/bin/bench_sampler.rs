@@ -24,7 +24,8 @@
 //! condition reachability tests the chains ran per proposal that passed
 //! the MH test (`condition_checks_per_accept`, deterministic: 1.0 for a
 //! check that re-tests every condition, ≈0.5 when only the conditions a
-//! flip can break are re-tested) plus their ns/step.
+//! flip can break are re-tested, less again when a per-condition memo
+//! vouches for most of those flips) plus their ns/step.
 //!
 //! Wall-clock timing is the entire point of this binary.
 #![allow(clippy::disallowed_methods)]

@@ -75,13 +75,14 @@ impl CheckpointStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flow_graph::BitSet;
+    use flow_icm::PseudoState;
     use flow_mcmc::{ChainCheckpoint, ProposalKind};
 
     fn sample_ckpt() -> FlowCheckpoint {
         FlowCheckpoint {
             chain: ChainCheckpoint {
-                edge_count: 4,
-                active_edges: vec![0, 2],
+                state: PseudoState::from_bits(BitSet::from_indices(4, [0, 2])),
                 proposal: ProposalKind::ResultingActivity,
                 steps: 42,
                 accepted: 17,

@@ -77,10 +77,17 @@ pub fn reachable_filtered(
 
 /// A reusable BFS scratch buffer for hot loops (avoids reallocating the
 /// visited set and queue on every Metropolis–Hastings sample).
+///
+/// After a search the scratch still holds what it found:
+/// [`Self::reached`] is the reach set of a search that ran to the end,
+/// and [`Self::path`] is the path a successful
+/// [`Self::is_reachable`] found.
 #[derive(Clone, Debug)]
 pub struct BfsScratch {
     reached: BitSet,
     queue: std::collections::VecDeque<NodeId>,
+    /// `parent[v]`: the edge [`Self::is_reachable`] first reached `v` by.
+    parent: Vec<EdgeId>,
 }
 
 impl BfsScratch {
@@ -89,11 +96,14 @@ impl BfsScratch {
         BfsScratch {
             reached: BitSet::new(node_count),
             queue: std::collections::VecDeque::new(),
+            parent: vec![EdgeId(0); node_count],
         }
     }
 
     /// Returns true iff `target` is reachable from `source` over edges
-    /// with `active(e)` true. Early-exits on reaching the target.
+    /// with `active(e)` true. Early-exits on reaching the target, and
+    /// records the edge each node was first reached by, so
+    /// [`Self::path`] can return the path found.
     pub fn is_reachable(
         &mut self,
         graph: &DiGraph,
@@ -115,15 +125,45 @@ impl BfsScratch {
                 }
                 let v = graph.dst(e);
                 if v == target {
+                    self.parent[v.index()] = e;
                     return true;
                 }
                 if !self.reached.get(v.index()) {
                     self.reached.set(v.index(), true);
+                    self.parent[v.index()] = e;
                     self.queue.push_back(v);
                 }
             }
         }
         false
+    }
+
+    /// The edges of the path from `source` to `target` that the last
+    /// [`Self::is_reachable`] call found, walked from `target` back to
+    /// `source` (empty when they are the same node). Meaningful only
+    /// right after that call returned `true` for this pair.
+    pub fn path<'a>(
+        &'a self,
+        graph: &'a DiGraph,
+        source: NodeId,
+        target: NodeId,
+    ) -> impl Iterator<Item = EdgeId> + 'a {
+        let mut at = target;
+        std::iter::from_fn(move || {
+            if at == source {
+                return None;
+            }
+            let e = self.parent[at.index()];
+            at = graph.src(e);
+            Some(e)
+        })
+    }
+
+    /// The nodes the last search marked. After [`Self::is_reachable`]
+    /// returned `false`, or after [`Self::reach_set`], this is exactly
+    /// the set of nodes reachable from the source(s).
+    pub fn reached(&self) -> &BitSet {
+        &self.reached
     }
 
     /// Computes the full reachable set from `source` over active edges,
@@ -362,6 +402,26 @@ mod tests {
         // Cut the cycle edge 2->3.
         let cut = g.find_edge(NodeId(2), NodeId(3)).unwrap();
         assert!(!scratch.is_reachable(&g, NodeId(0), NodeId(3), |e| e != cut));
+    }
+
+    #[test]
+    fn scratch_path_and_reached_describe_the_last_search() {
+        let g = graph_from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 1), (0, 4), (4, 3)]);
+        let mut scratch = BfsScratch::new(6);
+        // BFS reaches 3 through 4 (two hops) before it goes via 1, 2.
+        assert!(scratch.is_reachable(&g, NodeId(0), NodeId(3), |_| true));
+        let path: Vec<EdgeId> = scratch.path(&g, NodeId(0), NodeId(3)).collect();
+        let want = [(4, 3), (0, 4)].map(|(u, v)| g.find_edge(NodeId(u), NodeId(v)).unwrap());
+        assert_eq!(path, want);
+        assert_eq!(scratch.path(&g, NodeId(2), NodeId(2)).count(), 0);
+        // With 4 -> 3 off the path runs 0 -> 1 -> 2 -> 3.
+        let cut = g.find_edge(NodeId(4), NodeId(3)).unwrap();
+        assert!(scratch.is_reachable(&g, NodeId(0), NodeId(3), |e| e != cut));
+        assert_eq!(scratch.path(&g, NodeId(0), NodeId(3)).count(), 3);
+        // A search that fails ran to the end: `reached` is the reach set.
+        assert!(!scratch.is_reachable(&g, NodeId(1), NodeId(0), |_| true));
+        let want = reachable(&g, &[NodeId(1)]).reached;
+        assert_eq!(scratch.reached(), &want);
     }
 
     #[test]

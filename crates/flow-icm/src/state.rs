@@ -18,6 +18,7 @@ use rand::Rng;
 
 /// A boolean activity assignment for every edge of a model.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PseudoState {
     bits: BitSet,
 }

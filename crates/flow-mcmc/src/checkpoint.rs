@@ -5,7 +5,7 @@
 //! crashes, fault injection in tests). A [`ChainCheckpoint`] captures
 //! everything the chain needs to continue *bit-identically*:
 //!
-//! * the pseudo-state bitset (as the indices of active edges),
+//! * the pseudo-state bitset,
 //! * the step/acceptance counters,
 //! * the xoshiro256** RNG state (four words),
 //! * the proposal convention.
@@ -19,7 +19,8 @@
 //!
 //! The on-disk format is a deliberately boring line-based text format
 //! (`to_text`/`from_text`) so it needs no serialization dependency and
-//! stays greppable; with the `serde` feature the types also derive
+//! stays greppable: the pseudo-state is written as the ascending list of
+//! its active edges. With the `serde` feature the types also derive
 //! `Serialize`/`Deserialize`.
 //!
 //! [`capture`]: ChainCheckpoint::capture
@@ -29,19 +30,18 @@ use flow_core::{fault, FlowError, FlowResult};
 use flow_graph::BitSet;
 use flow_icm::{Icm, PseudoState};
 use rand::rngs::StdRng;
+use std::fmt;
 
 /// Magic first line of the text format, with a format version.
 const HEADER: &str = "flowckpt v1";
 
 /// A serializable snapshot of one Metropolis–Hastings chain.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ChainCheckpoint {
-    /// Edge count of the model the chain was sampling (shape check on
-    /// restore).
-    pub edge_count: usize,
-    /// Indices of active edges in the pseudo-state.
-    pub active_edges: Vec<u32>,
+    /// The chain's pseudo-state. Its length is the edge count of the
+    /// model the chain was sampling (shape check on restore).
+    pub state: PseudoState,
     /// Proposal convention of the chain.
     pub proposal: ProposalKind,
     /// Total proposals made so far.
@@ -52,7 +52,33 @@ pub struct ChainCheckpoint {
     pub rng_state: [u64; 4],
 }
 
+/// Lists the active edges rather than the bitset's words, the way the
+/// text format does.
+impl fmt::Debug for ChainCheckpoint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let active: Vec<u32> = self.active_edges().collect();
+        f.debug_struct("ChainCheckpoint")
+            .field("edge_count", &self.edge_count())
+            .field("active_edges", &active)
+            .field("proposal", &self.proposal)
+            .field("steps", &self.steps)
+            .field("accepted", &self.accepted)
+            .field("rng_state", &self.rng_state)
+            .finish()
+    }
+}
+
 impl ChainCheckpoint {
+    /// Edge count of the model the chain was sampling.
+    pub fn edge_count(&self) -> usize {
+        self.state.edge_count()
+    }
+
+    /// Indices of the pseudo-state's active edges, ascending.
+    pub fn active_edges(&self) -> impl Iterator<Item = u32> + '_ {
+        self.state.bits().iter_ones().map(|i| i as u32)
+    }
+
     /// Captures the chain and its RNG. Rebuilds the chain's weight tree
     /// first so that resuming from this checkpoint is bit-identical to
     /// continuing the live chain (see module docs).
@@ -66,15 +92,7 @@ impl ChainCheckpoint {
             sampler.steps()
         );
         ChainCheckpoint {
-            edge_count: sampler.state().edge_count(),
-            active_edges: {
-                // iter_ones gives no size hint; pre-sizing keeps the
-                // allocation at exactly what cache accounting counts.
-                let bits = sampler.state().bits();
-                let mut active = Vec::with_capacity(bits.count_ones());
-                active.extend(bits.iter_ones().map(|i| i as u32));
-                active
-            },
+            state: sampler.state().clone(),
             proposal: sampler.proposal_kind(),
             steps: sampler.steps(),
             accepted: sampler.accepted(),
@@ -83,33 +101,22 @@ impl ChainCheckpoint {
     }
 
     /// Validates the checkpoint against a model: the edge count must
-    /// match and every active-edge index must be in range. The
-    /// `checkpoint.corrupt` fault point (fault-injection builds) also
-    /// fails validation, simulating an unreadable snapshot.
+    /// match. (Active-edge indices are in range by construction: the
+    /// text parser rejects any that are not.) The `checkpoint.corrupt`
+    /// fault point (fault-injection builds) also fails validation,
+    /// simulating an unreadable snapshot.
     pub fn validate(&self, icm: &Icm) -> FlowResult<()> {
         if fault::fires("checkpoint.corrupt") {
             return Err(FlowError::Checkpoint {
                 detail: "checkpoint payload corrupted (injected fault)".into(),
             });
         }
-        if self.edge_count != icm.edge_count() {
+        if self.edge_count() != icm.edge_count() {
             return Err(FlowError::Checkpoint {
                 detail: format!(
                     "checkpoint is for a model with {} edges, got {}",
-                    self.edge_count,
+                    self.edge_count(),
                     icm.edge_count()
-                ),
-            });
-        }
-        if let Some(&i) = self
-            .active_edges
-            .iter()
-            .find(|&&i| i as usize >= self.edge_count)
-        {
-            return Err(FlowError::Checkpoint {
-                detail: format!(
-                    "active edge index {i} out of range for {} edges",
-                    self.edge_count
                 ),
             });
         }
@@ -138,24 +145,16 @@ impl ChainCheckpoint {
     ) -> FlowResult<(PseudoStateSampler<'a>, StdRng)> {
         self.validate(icm)?;
         flow_obs::counter("checkpoint.restores", 1);
-        let mut bits = BitSet::new(self.edge_count);
-        for &i in &self.active_edges {
-            bits.set(i as usize, true);
-        }
         flow_core::debug_invariant!(
             self.accepted <= self.steps,
             "checkpoint counters incoherent: {} accepted of {} steps",
             self.accepted,
             self.steps
         );
-        flow_core::debug_invariant!(
-            bits.len() == icm.edge_count(),
-            "restored state covers {} edges but the model has {}",
-            bits.len(),
-            icm.edge_count()
-        );
-        let state = PseudoState::from_bits(bits);
-        if let Some(c) = conditions.iter().find(|c| !c.holds(icm.graph(), &state)) {
+        if let Some(c) = conditions
+            .iter()
+            .find(|c| !c.holds(icm.graph(), &self.state))
+        {
             return Err(FlowError::Checkpoint {
                 detail: format!(
                     "checkpointed state breaks the {} flow {} ~> {}",
@@ -168,7 +167,7 @@ impl ChainCheckpoint {
         let sampler = PseudoStateSampler::from_checkpoint_parts(
             icm,
             self.proposal,
-            state,
+            self.state.clone(),
             conditions,
             self.steps,
             self.accepted,
@@ -181,7 +180,7 @@ impl ChainCheckpoint {
         let mut out = String::new();
         out.push_str(HEADER);
         out.push('\n');
-        out.push_str(&format!("edges={}\n", self.edge_count));
+        out.push_str(&format!("edges={}\n", self.edge_count()));
         out.push_str(&format!(
             "proposal={}\n",
             match self.proposal {
@@ -195,14 +194,15 @@ impl ChainCheckpoint {
             "rng={},{},{},{}\n",
             self.rng_state[0], self.rng_state[1], self.rng_state[2], self.rng_state[3]
         ));
-        let active: Vec<String> = self.active_edges.iter().map(|i| i.to_string()).collect();
+        let active: Vec<String> = self.active_edges().map(|i| i.to_string()).collect();
         out.push_str(&format!("active={}\n", active.join(",")));
         out
     }
 
     /// Parses the line-based text format, returning
     /// [`FlowError::Checkpoint`] with the offending detail on any
-    /// structural problem.
+    /// structural problem, including an active-edge index outside the
+    /// edge count.
     pub fn from_text(text: &str) -> FlowResult<Self> {
         let corrupt = |detail: String| FlowError::Checkpoint { detail };
         let mut lines = text.lines();
@@ -271,9 +271,25 @@ impl ChainCheckpoint {
             }
         }
         let missing = |what: &str| corrupt(format!("checkpoint missing field {what:?}"));
+        let edge_count: usize = edge_count.ok_or_else(|| missing("edges"))?;
+        let active_edges: Vec<u32> = active_edges.ok_or_else(|| missing("active"))?;
+        // Edge ids are u32, so no model has more edges than this.
+        if edge_count as u64 > 1 << 32 {
+            return Err(corrupt(format!(
+                "edge count {edge_count} exceeds the edge-id range"
+            )));
+        }
+        let mut bits = BitSet::new(edge_count);
+        for i in active_edges {
+            if i as usize >= edge_count {
+                return Err(corrupt(format!(
+                    "active edge index {i} out of range for {edge_count} edges"
+                )));
+            }
+            bits.set(i as usize, true);
+        }
         Ok(ChainCheckpoint {
-            edge_count: edge_count.ok_or_else(|| missing("edges"))?,
-            active_edges: active_edges.ok_or_else(|| missing("active"))?,
+            state: PseudoState::from_bits(bits),
             proposal: proposal.ok_or_else(|| missing("proposal"))?,
             steps: steps.ok_or_else(|| missing("steps"))?,
             accepted: accepted.ok_or_else(|| missing("accepted"))?,
@@ -401,11 +417,129 @@ impl FlowCheckpoint {
 mod tests {
     use super::*;
     use flow_graph::graph::graph_from_edges;
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     fn diamond_icm() -> Icm {
         let g = graph_from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
         Icm::new(g, vec![0.7, 0.4, 0.5, 0.6])
+    }
+
+    fn state(edge_count: usize, active: &[usize]) -> PseudoState {
+        PseudoState::from_bits(BitSet::from_indices(edge_count, active.iter().copied()))
+    }
+
+    fn arb_chain_checkpoint() -> impl Strategy<Value = ChainCheckpoint> {
+        (
+            (0usize..200).prop_flat_map(|m| (Just(m), prop::collection::vec(0..m.max(1), 0..=m))),
+            any::<bool>(),
+            any::<u64>(),
+            any::<u64>(),
+            (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+        )
+            .prop_map(
+                |((m, active), current, steps, accepted, (r0, r1, r2, r3))| {
+                    let active: Vec<usize> = active.into_iter().filter(|&i| i < m).collect();
+                    ChainCheckpoint {
+                        state: state(m, &active),
+                        proposal: if current {
+                            ProposalKind::CurrentActivity
+                        } else {
+                            ProposalKind::ResultingActivity
+                        },
+                        steps,
+                        accepted,
+                        rng_state: [r0, r1, r2, r3],
+                    }
+                },
+            )
+    }
+
+    fn arb_flow_checkpoint() -> impl Strategy<Value = FlowCheckpoint> {
+        (
+            arb_chain_checkpoint(),
+            any::<u32>(),
+            any::<u32>(),
+            prop::collection::vec(0u8..=1, 0..40),
+            1usize..50,
+        )
+            .prop_map(|(chain, source, sink, series, every)| FlowCheckpoint {
+                chain,
+                source,
+                sink,
+                samples_done: series.len(),
+                every,
+                series,
+            })
+    }
+
+    /// A parse may succeed or fail with a typed checkpoint error; any
+    /// other error (or a panic) fails the property.
+    fn parses_or_reports(result: FlowResult<impl Sized>) -> bool {
+        matches!(result, Ok(_) | Err(FlowError::Checkpoint { .. }))
+    }
+
+    /// `text` with the byte at `at` replaced by `byte`, read back as
+    /// UTF-8 the way a damaged file would be.
+    fn corrupt_byte(text: &str, at: usize, byte: u8) -> String {
+        let mut bytes = text.as_bytes().to_vec();
+        let at = at % bytes.len();
+        bytes[at] = byte;
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        #[test]
+        fn chain_checkpoint_text_roundtrips_byte_identically(ckpt in arb_chain_checkpoint()) {
+            let text = ckpt.to_text();
+            let parsed = ChainCheckpoint::from_text(&text).unwrap();
+            prop_assert_eq!(&parsed, &ckpt);
+            prop_assert_eq!(parsed.to_text(), text);
+        }
+
+        #[test]
+        fn flow_checkpoint_text_roundtrips_byte_identically(ckpt in arb_flow_checkpoint()) {
+            let text = ckpt.to_text();
+            let parsed = FlowCheckpoint::from_text(&text).unwrap();
+            prop_assert_eq!(&parsed, &ckpt);
+            prop_assert_eq!(parsed.to_text(), text);
+        }
+
+        #[test]
+        fn truncated_checkpoint_text_is_ok_or_a_checkpoint_error(
+            ckpt in arb_flow_checkpoint(),
+            cut in any::<usize>(),
+        ) {
+            let text = ckpt.to_text();
+            // Any cut is a char boundary: the text is ASCII.
+            let cut = cut % (text.len() + 1);
+            prop_assert!(parses_or_reports(ChainCheckpoint::from_text(&text[..cut])));
+            prop_assert!(parses_or_reports(FlowCheckpoint::from_text(&text[..cut])));
+        }
+
+        #[test]
+        fn corrupted_checkpoint_text_is_ok_or_a_checkpoint_error(
+            ckpt in arb_flow_checkpoint(),
+            at in any::<usize>(),
+            byte in any::<u8>(),
+        ) {
+            let chain_text = corrupt_byte(&ckpt.chain.to_text(), at, byte);
+            prop_assert!(parses_or_reports(ChainCheckpoint::from_text(&chain_text)));
+            let flow_text = corrupt_byte(&ckpt.to_text(), at, byte);
+            prop_assert!(parses_or_reports(FlowCheckpoint::from_text(&flow_text)));
+        }
+    }
+
+    #[test]
+    fn from_text_rejects_an_edge_count_beyond_edge_ids() {
+        let text = "flowckpt v1\nedges=18446744073709551615\nproposal=resulting\n\
+                    steps=1\naccepted=1\nrng=1,2,3,4\nactive=\n";
+        assert!(matches!(
+            ChainCheckpoint::from_text(text),
+            Err(FlowError::Checkpoint { .. })
+        ));
     }
 
     #[test]
@@ -449,8 +583,7 @@ mod tests {
     fn validation_rejects_shape_mismatch_and_bad_indices() {
         let icm = diamond_icm();
         let good = ChainCheckpoint {
-            edge_count: 4,
-            active_edges: vec![0, 3],
+            state: state(4, &[0, 3]),
             proposal: ProposalKind::ResultingActivity,
             steps: 10,
             accepted: 5,
@@ -458,19 +591,17 @@ mod tests {
         };
         assert!(good.validate(&icm).is_ok());
         let wrong_shape = ChainCheckpoint {
-            edge_count: 7,
+            state: state(7, &[0, 3]),
             ..good.clone()
         };
         assert!(matches!(
             wrong_shape.validate(&icm),
             Err(FlowError::Checkpoint { .. })
         ));
-        let bad_index = ChainCheckpoint {
-            active_edges: vec![9],
-            ..good
-        };
+        // An out-of-range index cannot be built; the parser rejects it.
+        let text = good.to_text().replace("active=0,3", "active=0,9");
         assert!(matches!(
-            bad_index.validate(&icm),
+            ChainCheckpoint::from_text(&text),
             Err(FlowError::Checkpoint { .. })
         ));
     }
@@ -481,9 +612,8 @@ mod tests {
         use flow_icm::FlowCondition;
         let icm = diamond_icm();
         // Edges 0 (0->1) and 2 (1->3) carry 0 ~> 3; edge 1 alone does not.
-        let ckpt = |active_edges: Vec<u32>| ChainCheckpoint {
-            edge_count: 4,
-            active_edges,
+        let ckpt = |active: Vec<usize>| ChainCheckpoint {
+            state: state(4, &active),
             proposal: ProposalKind::ResultingActivity,
             steps: 10,
             accepted: 5,
@@ -530,8 +660,7 @@ mod tests {
     fn flow_checkpoint_text_roundtrip() {
         let ckpt = FlowCheckpoint {
             chain: ChainCheckpoint {
-                edge_count: 4,
-                active_edges: vec![1, 2],
+                state: state(4, &[1, 2]),
                 proposal: ProposalKind::CurrentActivity,
                 steps: 123,
                 accepted: 45,
@@ -551,8 +680,7 @@ mod tests {
     fn flow_checkpoint_rejects_series_length_mismatch() {
         let ckpt = FlowCheckpoint {
             chain: ChainCheckpoint {
-                edge_count: 4,
-                active_edges: vec![],
+                state: state(4, &[]),
                 proposal: ProposalKind::ResultingActivity,
                 steps: 1,
                 accepted: 0,

@@ -42,13 +42,30 @@
 //! cheap. Reachability is monotone in the active-edge set: switching an
 //! edge on can only add flows, switching one off can only remove them.
 //! So an off→on flip can break only forbidden conditions and an on→off
-//! flip only required ones, and the step re-tests just that side (see
-//! [`flipped_conditions_hold`]). The other side still holds because the
-//! pre-flip state satisfied every condition.
+//! flip only required ones, and the step re-tests just that side. The
+//! other side still holds because the pre-flip state satisfied every
+//! condition.
+//!
+//! Each condition also keeps a memo of what its last BFS proved (see
+//! [`ConditionMemo`]), and a flip the memo vouches for runs no BFS:
+//!
+//! * a **required** flow remembers the active source→sink path the BFS
+//!   found. Turning off an edge that is not on it leaves the path
+//!   active. Every path edge stays on until a flip of one of them runs
+//!   a BFS, which either finds a new path or rejects the flip.
+//! * a **forbidden** flow remembers the nodes its last complete BFS
+//!   reached from the source. Turning on an edge `(u, v)` with `u`
+//!   outside that set cannot change the reach set. On→off flips and
+//!   rolled-back flips only shrink the true reach set, so the memo stays
+//!   a superset of it.
+//!
+//! The memo decides only whether a BFS runs, never what a proposal's
+//! fate is, and it draws no random numbers, so seeded chains are the
+//! same with or without it.
 
 use flow_core::{fault, FlowError, FlowResult};
-use flow_graph::traverse::BfsScratch;
-use flow_graph::{DiGraph, EdgeId, NodeId};
+use flow_graph::traverse::{reachable_filtered, BfsScratch};
+use flow_graph::{BitSet, DiGraph, EdgeId, NodeId};
 use flow_icm::query::conditions_hold;
 use flow_icm::{FlowCondition, Icm, PseudoState};
 use flow_stats::WeightTree;
@@ -163,6 +180,82 @@ struct PendingObs {
     tree_rebuilds: u64,
 }
 
+/// What the last BFS of one flow condition proved about the chain's
+/// state, so that later flips the proof still covers skip the BFS (see
+/// the module docs).
+#[derive(Clone, Debug)]
+enum ConditionMemo {
+    /// No BFS has run yet for this chain.
+    Empty,
+    /// Required flow: the edges of an active source→sink path, from the
+    /// sink back to the source.
+    Witness(Vec<EdgeId>),
+    /// Forbidden flow: a superset of the nodes reachable from the source.
+    Reach(BitSet),
+}
+
+impl ConditionMemo {
+    /// True when the memo proves that flipping `e` keeps its condition.
+    /// Asked only about flips that could break the condition: on→off
+    /// for a required flow, off→on for a forbidden one.
+    fn vouches_for(&self, graph: &DiGraph, e: EdgeId) -> bool {
+        match self {
+            ConditionMemo::Empty => false,
+            ConditionMemo::Witness(path) => !path.contains(&e),
+            ConditionMemo::Reach(nodes) => !nodes.get(graph.src(e).index()),
+        }
+    }
+
+    /// Records what the BFS just run in `scratch` for `c` proved: the
+    /// path it found for a required flow, or the reach set it completed
+    /// for a forbidden one.
+    fn refresh(&mut self, graph: &DiGraph, c: &FlowCondition, scratch: &BfsScratch) {
+        if c.required {
+            let path = scratch.path(graph, c.source, c.sink);
+            match self {
+                ConditionMemo::Witness(edges) => {
+                    edges.clear();
+                    edges.extend(path);
+                }
+                _ => *self = ConditionMemo::Witness(path.collect()),
+            }
+        } else {
+            match self {
+                ConditionMemo::Reach(nodes) => {
+                    nodes.clear();
+                    nodes.union_with(scratch.reached());
+                }
+                _ => *self = ConditionMemo::Reach(scratch.reached().clone()),
+            }
+        }
+    }
+
+    /// True when the memo's claim holds in `state`: a witness path is
+    /// active and leads from `c.source` to `c.sink`, and a reach memo
+    /// contains every node reachable from `c.source`. Debug-invariant
+    /// builds audit every skipped BFS with this.
+    fn is_sound(&self, graph: &DiGraph, c: &FlowCondition, state: &PseudoState) -> bool {
+        match self {
+            ConditionMemo::Empty => true,
+            ConditionMemo::Witness(path) => {
+                let mut at = c.sink;
+                for &e in path {
+                    if !state.is_active(e) || graph.dst(e) != at {
+                        return false;
+                    }
+                    at = graph.src(e);
+                }
+                at == c.source
+            }
+            ConditionMemo::Reach(nodes) => {
+                reachable_filtered(graph, &[c.source], |e| state.is_active(e))
+                    .reached
+                    .is_subset(nodes)
+            }
+        }
+    }
+}
+
 /// A Metropolis–Hastings chain over the pseudo-states of one ICM.
 #[derive(Clone, Debug)]
 pub struct PseudoStateSampler<'a> {
@@ -171,6 +264,8 @@ pub struct PseudoStateSampler<'a> {
     tree: WeightTree,
     kind: ProposalKind,
     conditions: Vec<FlowCondition>,
+    /// One memo per entry of `conditions`.
+    memos: Vec<ConditionMemo>,
     scratch: BfsScratch,
     steps: u64,
     accepted: u64,
@@ -252,6 +347,7 @@ impl<'a> PseudoStateSampler<'a> {
             state,
             tree: WeightTree::new(&weights),
             kind,
+            memos: vec![ConditionMemo::Empty; conditions.len()],
             conditions,
             steps: 0,
             accepted: 0,
@@ -467,17 +563,9 @@ impl<'a> PseudoStateSampler<'a> {
         // violation → certain rejection).
         if !self.conditions.is_empty() {
             self.state.flip(e);
-            let graph = self.icm.graph();
-            let (ok, checks) = flipped_conditions_hold(
-                graph,
-                &self.state,
-                &self.conditions,
-                !was_active,
-                &mut self.scratch,
-            );
-            self.pending.condition_checks += checks;
+            let ok = self.flip_keeps_conditions(e);
             flow_core::debug_invariant!(
-                !ok || conditions_hold(graph, &self.state, &self.conditions),
+                !ok || conditions_hold(self.icm.graph(), &self.state, &self.conditions),
                 "filtered condition check accepted a flip of edge {} that violates {:?}",
                 e.0,
                 self.conditions
@@ -546,6 +634,42 @@ impl<'a> PseudoStateSampler<'a> {
         }
     }
 
+    /// The condition indicator `I(x′, C)` of the current state `x′`,
+    /// which differs from a satisfying state only in edge `e`, just
+    /// flipped. Re-tests only the conditions that flip can break
+    /// (forbidden ones when `e` turned on, required ones when it turned
+    /// off), and of those only the ones whose memo cannot vouch for the
+    /// flip. Each BFS run counts as a condition check and refreshes its
+    /// condition's memo.
+    fn flip_keeps_conditions(&mut self, e: EdgeId) -> bool {
+        let graph = self.icm.graph();
+        let state = &self.state;
+        let now_active = state.is_active(e);
+        for (c, memo) in self.conditions.iter().zip(&mut self.memos) {
+            if c.required == now_active {
+                continue;
+            }
+            if memo.vouches_for(graph, e) {
+                flow_core::debug_invariant!(
+                    memo.is_sound(graph, c, state),
+                    "stale {memo:?} for {c:?} skipped the BFS on a flip of edge {}",
+                    e.0
+                );
+                continue;
+            }
+            self.pending.condition_checks += 1;
+            if self
+                .scratch
+                .is_reachable(graph, c.source, c.sink, |x| state.is_active(x))
+                != c.required
+            {
+                return false;
+            }
+            memo.refresh(graph, c, &self.scratch);
+        }
+        true
+    }
+
     /// True iff the current state carries the flow `source ~> sink`.
     pub fn carries_flow(&mut self, source: NodeId, sink: NodeId) -> bool {
         let state = &self.state;
@@ -560,30 +684,6 @@ impl<'a> PseudoStateSampler<'a> {
         self.scratch
             .reach_set(self.icm.graph(), sources, |e| state.is_active(e))
     }
-}
-
-/// The condition indicator `I(x′, C)` of a proposed state `x′` that
-/// differs from a satisfying state in one edge, which is now
-/// `now_active`. Re-tests only the conditions that flip can break:
-/// forbidden ones when an edge turns on, required ones when it turns
-/// off (reachability is monotone in the active-edge set). Returns the
-/// indicator and the number of conditions re-tested.
-fn flipped_conditions_hold(
-    graph: &DiGraph,
-    state: &PseudoState,
-    conditions: &[FlowCondition],
-    now_active: bool,
-    scratch: &mut BfsScratch,
-) -> (bool, u64) {
-    let mut checks = 0;
-    let ok = conditions
-        .iter()
-        .filter(|c| c.required != now_active)
-        .all(|c| {
-            checks += 1;
-            scratch.is_reachable(graph, c.source, c.sink, |e| state.is_active(e)) == c.required
-        });
-    (ok, checks)
 }
 
 /// Activates the edges of one randomized path from `source` to `sink`
@@ -647,51 +747,62 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
+        /// A chain that skips the BFS whenever a memo vouches for a flip
+        /// and a reference that re-tests every condition after every
+        /// flip, fed the same random flips: every decision and every
+        /// state must agree, so the memo never changes a chain's path.
         #[test]
-        fn filtered_check_equals_full_check_after_one_flip(
+        fn memo_check_decides_every_flip_like_the_full_check(
             seed in any::<u64>(),
             n in 2usize..=12,
             out_degree in 1usize..=3,
-            code in any::<u64>(),
             pairs in prop::collection::vec((0u32..12, 0u32..12), 1..=4),
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
             let m = (n * out_degree).min(n * (n - 1));
             let graph = flow_graph::generate::uniform_edges(&mut rng, n, m);
-            // At most 36 edges, so one u64 codes the whole state.
-            let m = graph.edge_count();
-            let bits = flow_graph::BitSet::from_u64(m, code & ((1 << m) - 1));
-            let state = PseudoState::from_bits(bits);
+            let icm = Icm::with_uniform_probability(graph, 0.5);
+            let graph = icm.graph();
+            let m = graph.edge_count() as u32;
+            let mut reference = PseudoState::sample(&icm, &mut rng);
             // Read each condition off the state, so the state is valid.
             let conditions: Vec<FlowCondition> = pairs
                 .iter()
                 .map(|&(u, v)| {
                     let (u, v) = (NodeId(u % n as u32), NodeId(v % n as u32));
-                    if state.carries_flow(&graph, u, v) {
+                    if reference.carries_flow(graph, u, v) {
                         FlowCondition::requires(u, v)
                     } else {
                         FlowCondition::forbids(u, v)
                     }
                 })
                 .collect();
-            let mut scratch = BfsScratch::new(n);
-            for e in graph.edges() {
-                let mut flipped = state.clone();
-                flipped.flip(e);
-                let (filtered, checks) = flipped_conditions_hold(
-                    &graph,
-                    &flipped,
-                    &conditions,
-                    flipped.is_active(e),
-                    &mut scratch,
-                );
-                prop_assert_eq!(
-                    filtered,
-                    conditions_hold(&graph, &flipped, &conditions),
-                    "flip of edge {} under {:?}", e.0, conditions
-                );
-                prop_assert!(checks as usize <= conditions.len());
+            let mut chain = PseudoStateSampler::from_checkpoint_parts(
+                &icm,
+                ProposalKind::ResultingActivity,
+                reference.clone(),
+                conditions.clone(),
+                0,
+                0,
+            );
+            let mut breakable_flips = 0;
+            for step in 0..600 {
+                let e = EdgeId(rng.random_range(0..m));
+                reference.flip(e);
+                let want = conditions_hold(graph, &reference, &conditions);
+                if !want {
+                    reference.flip(e);
+                }
+                let now_active = chain.state.flip(e);
+                breakable_flips += conditions.iter().filter(|c| c.required != now_active).count();
+                let got = chain.flip_keeps_conditions(e);
+                if !got {
+                    chain.state.flip(e);
+                }
+                prop_assert_eq!(got, want, "step {} flips edge {} under {:?}", step, e.0, &conditions);
+                prop_assert_eq!(chain.state(), &reference, "step {}", step);
             }
+            prop_assert!(chain.pending.condition_checks as usize <= breakable_flips);
         }
     }
 

@@ -238,7 +238,7 @@ fn estimate_conditional_flows_from_is_pinned() {
             ("sink5", 0x3fde81b4e81b4e82),
             ("sink6", 0x3fcb4e81b4e81b4f),
             ("telemetry_lines", 0x585),
-            ("telemetry", 0xe5ee18c4cf4d634e),
+            ("telemetry", 0x85f837cacdd62f30),
         ],
     );
 }
@@ -571,7 +571,7 @@ fn shared_chain_cold_and_warm_are_pinned() {
             ("degradation", 0x9612b07b5ecb5a5),
             ("checkpoint", 0x82eb78fc314a7117),
             ("telemetry_lines", 0x307),
-            ("telemetry", 0x740814edeebf582d),
+            ("telemetry", 0xda202f910c7ee949),
         ],
     );
 }

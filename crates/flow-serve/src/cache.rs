@@ -96,7 +96,10 @@ impl CacheEntry {
         half_width(self.estimate(), self.samples)
     }
 
-    /// Approximate heap footprint, for the byte budget.
+    /// The entry's weight against the byte budget, an approximate heap
+    /// footprint. The checkpoint counts 4 bytes per active edge rather
+    /// than its bitset's size, which keeps the LRU's eviction order
+    /// stable (see DESIGN.md §11).
     pub fn approx_bytes(&self) -> usize {
         let key_bytes = 64
             + self.key.conditions.len() * 12
@@ -104,7 +107,7 @@ impl CacheEntry {
                 flow_mcmc::SharedTarget::Sink(_) => 8,
                 flow_mcmc::SharedTarget::Community(m) => 8 + m.len() * 4,
             };
-        let ckpt_bytes = 96 + self.checkpoint.active_edges.len() * 4;
+        let ckpt_bytes = 96 + self.checkpoint.state.active_count() * 4;
         key_bytes + ckpt_bytes + 64
     }
 }
@@ -540,8 +543,8 @@ impl ServeCache {
 mod tests {
     use super::*;
     use flow_graph::graph::graph_from_edges;
-    use flow_graph::NodeId;
-    use flow_icm::Icm;
+    use flow_graph::{BitSet, NodeId};
+    use flow_icm::{Icm, PseudoState};
     use flow_mcmc::{McmcConfig, SharedTarget};
 
     fn icm() -> Icm {
@@ -570,8 +573,7 @@ mod tests {
             seed: 42,
             model_version: fingerprint,
             checkpoint: ChainCheckpoint {
-                edge_count: model.edge_count(),
-                active_edges: vec![0, 2],
+                state: PseudoState::from_bits(BitSet::from_indices(model.edge_count(), [0, 2])),
                 proposal: Default::default(),
                 steps: 1000,
                 accepted: 400,
